@@ -12,11 +12,69 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import QueryError
 from repro.core.records import Table
 from repro.core.schema import Schema
+
+# -- the comparison table ------------------------------------------------------
+#
+# The one definition of every column-vs-literal comparison, shared by source
+# pushdown (apply_predicates) and the site filter kernels
+# (repro.federation.columnar.compile_predicate).  Each comparison compiles
+# into a selection-vector kernel ``kernel(values, sel) -> sel'`` that keeps,
+# in order, the indexes i of ``sel`` where ``values[i] <op> literal`` holds.
+# NULL rules: a NULL cell satisfies only ``= NULL`` and ``!= x``; ``= NULL``
+# keeps the NULL cells and ``!= NULL`` the others; a NULL literal in a range
+# or ``contains`` keeps nothing.  An incomparable pair raises TypeError.
+
+COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=", "contains")
+
+SelectionKernel = Callable[[Sequence[Any], Iterable[int]], list[int]]
+
+
+def comparison_kernel(op: str, literal: Any) -> SelectionKernel:
+    """Compile ``column <op> literal`` into a selection-vector kernel."""
+    if op == "=":
+        if literal is None:
+            return lambda values, sel: [i for i in sel if values[i] is None]
+        return lambda values, sel: [
+            i for i in sel if (v := values[i]) is not None and v == literal
+        ]
+    if op == "!=":
+        if literal is None:
+            return lambda values, sel: [i for i in sel if values[i] is not None]
+        return lambda values, sel: [
+            i for i in sel if (v := values[i]) is None or v != literal
+        ]
+    if op not in COMPARISON_OPS:
+        raise ValueError(f"unsupported predicate operator {op!r}")
+    if literal is None:
+        return lambda values, sel: []
+    if op == "contains":
+        needle = str(literal).lower()
+        return lambda values, sel: [
+            i
+            for i in sel
+            if (v := values[i]) is not None and needle in str(v).lower()
+        ]
+    if op == "<":
+        return lambda values, sel: [
+            i for i in sel if (v := values[i]) is not None and v < literal
+        ]
+    if op == "<=":
+        return lambda values, sel: [
+            i for i in sel if (v := values[i]) is not None and v <= literal
+        ]
+    if op == ">":
+        return lambda values, sel: [
+            i for i in sel if (v := values[i]) is not None and v > literal
+        ]
+    return lambda values, sel: [
+        i for i in sel if (v := values[i]) is not None and v >= literal
+    ]
 
 
 @dataclass(frozen=True)
@@ -24,38 +82,63 @@ class Predicate:
     """A simple comparison that sources may evaluate locally (pushdown)."""
 
     column: str
-    op: str  # one of =, !=, <, <=, >, >=, contains
+    op: str  # one of COMPARISON_OPS
     value: Any
 
-    _OPS = {
-        "=": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a is not None and a < b,
-        "<=": lambda a, b: a is not None and a <= b,
-        ">": lambda a, b: a is not None and a > b,
-        ">=": lambda a, b: a is not None and a >= b,
-        "contains": lambda a, b: a is not None and str(b).lower() in str(a).lower(),
-    }
-
     def __post_init__(self) -> None:
-        if self.op not in self._OPS:
+        if self.op not in COMPARISON_OPS:
             raise ValueError(f"unsupported predicate operator {self.op!r}")
 
-    def matches(self, row: dict[str, Any]) -> bool:
-        try:
-            return self._OPS[self.op](row.get(self.column), self.value)
-        except TypeError as error:
-            raise QueryError(
-                f"cannot apply {self.column} {self.op} {self.value!r} "
-                f"to value {row.get(self.column)!r}: {error}"
-            ) from error
+    def holds(self, value: Any) -> bool:
+        """Whether a cell holding ``value`` satisfies this predicate.
+
+        Raises TypeError when ``value`` and the literal are incomparable.
+        """
+        return bool(comparison_kernel(self.op, self.value)((value,), (0,)))
 
 
 def apply_predicates(table: Table, predicates: Sequence[Predicate]) -> Table:
-    """Filter ``table`` by all ``predicates`` (helper for sources)."""
+    """Filter ``table`` by all ``predicates`` (helper for sources).
+
+    Each predicate runs as its comparison kernel over the one column
+    position it names, and only over the rows the predicates before it
+    kept -- the same (predicate, row) pairs a row-at-a-time conjunction
+    evaluates, so kept rows, their order and whether an incomparable pair
+    raises all match it.  A column the schema lacks reads as NULL.
+    """
     if not predicates:
         return table
-    return table.where(lambda row: all(p.matches(row.to_dict()) for p in predicates))
+    schema = table.schema
+    rows = table.rows
+    for predicate in predicates:
+        if schema.has_field(predicate.column):
+            values = list(map(itemgetter(schema.index_of(predicate.column)), rows))
+        else:
+            values = [None] * len(rows)
+        kernel = comparison_kernel(predicate.op, predicate.value)
+        try:
+            sel = kernel(values, range(len(values)))
+        except TypeError as error:
+            raise _incomparable(predicate, kernel, values) from error
+        rows = [rows[i] for i in sel]
+    kept = Table(schema, validate=False)
+    kept.rows = rows
+    return kept
+
+
+def _incomparable(
+    predicate: Predicate, kernel: SelectionKernel, values: list
+) -> QueryError:
+    """The QueryError naming the first cell ``kernel`` cannot compare."""
+    for i in range(len(values)):
+        try:
+            kernel(values, (i,))
+        except TypeError as error:
+            return QueryError(
+                f"cannot apply {predicate.column} {predicate.op} "
+                f"{predicate.value!r} to value {values[i]!r}: {error}"
+            )
+    raise AssertionError("kernel raised TypeError on no single cell")
 
 
 @dataclass

@@ -76,32 +76,33 @@ class Schema:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(self.fields))
-        seen: set[str] = set()
-        for f in self.fields:
-            if f.name in seen:
+        positions: dict[str, int] = {}
+        for i, f in enumerate(self.fields):
+            if f.name in positions:
                 raise SchemaError(f"duplicate field {f.name!r} in schema {self.name!r}")
-            seen.add(f.name)
+            positions[f.name] = i
+        # Lookup caches: plain attributes, not dataclass fields, so equality,
+        # hashing and repr still see only ``name`` and ``fields``.
+        object.__setattr__(self, "_names", tuple(positions))
+        object.__setattr__(self, "_positions", positions)
 
     # -- lookup ----------------------------------------------------------
 
     @property
     def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
+        return self._names
 
     def has_field(self, name: str) -> bool:
-        return any(f.name == name for f in self.fields)
+        return name in self._positions
 
     def field_named(self, name: str) -> Field:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise SchemaError(f"schema {self.name!r} has no field {name!r}")
+        return self.fields[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        raise SchemaError(f"schema {self.name!r} has no field {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"schema {self.name!r} has no field {name!r}") from None
 
     def __len__(self) -> int:
         return len(self.fields)

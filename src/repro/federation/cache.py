@@ -31,7 +31,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.connect.source import Predicate, apply_predicates
-from repro.core.errors import QueryError
 from repro.core.records import Table
 from repro.sim.clock import SimClock
 
@@ -79,7 +78,6 @@ def predicate_implies(requested: Predicate, cached: Predicate) -> bool:
         return False
     if requested == cached:
         return True
-    column = cached.column
     try:
         if requested.op == "=":
             if requested.value is None:
@@ -88,7 +86,7 @@ def predicate_implies(requested: Predicate, cached: Predicate) -> bool:
                 return False  # str(1) vs str(1.0): repr-level, not value-level
             # Every row satisfying the request has this exact value, so the
             # cached predicate holds for the row iff it holds for the value.
-            return cached.matches({column: requested.value})
+            return cached.holds(requested.value)
         if cached.op in _RANGE_OPS and requested.op in _RANGE_OPS:
             return _bound_implies(requested, cached)
         if cached.op == "!=":
@@ -96,14 +94,13 @@ def predicate_implies(requested: Predicate, cached: Predicate) -> bool:
                 return bool(requested.value == cached.value)
             if requested.op in _RANGE_OPS:
                 # A bound that excludes the forbidden value implies !=.
-                return not requested.matches({column: cached.value})
+                return not requested.holds(cached.value)
             return False
         if cached.op == "contains" and requested.op == "contains":
             # Containing the longer needle implies containing any substring.
             return str(cached.value).lower() in str(requested.value).lower()
-    except (TypeError, QueryError):
-        # Incomparable values (Predicate.matches wraps the TypeError in a
-        # QueryError): conservatively a miss.
+    except TypeError:
+        # Incomparable values: conservatively a miss.
         return False
     return False
 

@@ -14,7 +14,9 @@ operators pass batches by reference and work on whole columns:
   the left side kept), and the null semantics replicate ``evaluate`` bit
   for bit -- ``NULL != x`` is True, range comparisons against NULL are
   False, ``x IN (...)`` with a NULL operand is False even under ``NOT
-  IN``.  Anything the compiler cannot prove equivalent returns ``None``
+  IN``.  Column-vs-literal comparisons are the comparison table in
+  :mod:`repro.connect.source`, which every source's pushdown runs too.
+  Anything the compiler cannot prove equivalent returns ``None``
   and the operator falls back to per-row ``evaluate`` over the same batch,
   so behavior (including errors) is identical by construction; a kernel
   that discovers an incomparable pair mid-flight raises
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.connect.source import COMPARISON_OPS, comparison_kernel
 from repro.core.records import Table
 from repro.core.values import Money
 from repro.sql.ast import (
@@ -192,7 +195,6 @@ def table_chunks(
 Kernel = Callable[[ColumnBatch, list[int]], list[int]]
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=", "contains")
 
 
 def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
@@ -226,7 +228,7 @@ def compile_predicate(expr: Expr, layout: ColumnBatch) -> Kernel | None:
                 return _merge_ascending(hits, more)
 
             return _or
-        if expr.op in _COMPARISONS:
+        if expr.op in COMPARISON_OPS:
             left = _operand(expr.left, layout)
             right = _operand(expr.right, layout)
             if left is None or right is None:
@@ -319,61 +321,17 @@ def _comparison_kernel(op: str, left, right) -> Kernel | None:
 
 
 def _col_lit_kernel(op: str, idx: int, lit: Any) -> Kernel:
-    if op == "=":
-        if lit is None:
-            return lambda batch, sel: [
-                i for i in sel if batch.columns[idx][i] is None
-            ]
+    # An incomparable pair aborts the kernel so the row path can raise its
+    # exact error.
+    compare = comparison_kernel(op, lit)
 
-        def _eq(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [i for i in sel if (v := col[i]) is not None and v == lit]
-
-        return _eq
-    if op == "!=":
-        if lit is None:
-            return lambda batch, sel: [
-                i for i in sel if batch.columns[idx][i] is not None
-            ]
-
-        def _ne(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [i for i in sel if (v := col[i]) is None or v != lit]
-
-        return _ne
-    if op == "contains":
-        if lit is None:
-            return lambda batch, sel: []
-        needle = str(lit).lower()
-
-        def _contains(batch: ColumnBatch, sel: list[int]) -> list[int]:
-            col = batch.columns[idx]
-            return [
-                i
-                for i in sel
-                if (v := col[i]) is not None and needle in str(v).lower()
-            ]
-
-        return _contains
-    # Range comparisons: NULL on either side is False; an incomparable
-    # pair aborts the kernel so the row path can raise its exact error.
-    if lit is None:
-        return lambda batch, sel: []
-
-    def _range(batch: ColumnBatch, sel: list[int]) -> list[int]:
-        col = batch.columns[idx]
+    def _compare(batch: ColumnBatch, sel: list[int]) -> list[int]:
         try:
-            if op == "<":
-                return [i for i in sel if (v := col[i]) is not None and v < lit]
-            if op == "<=":
-                return [i for i in sel if (v := col[i]) is not None and v <= lit]
-            if op == ">":
-                return [i for i in sel if (v := col[i]) is not None and v > lit]
-            return [i for i in sel if (v := col[i]) is not None and v >= lit]
+            return compare(batch.columns[idx], sel)
         except TypeError as error:
             raise KernelFallback() from error
 
-    return _range
+    return _compare
 
 
 def _col_col_kernel(op: str, a: int, b: int) -> Kernel | None:

@@ -67,6 +67,7 @@ from repro.sql.planner import (
     ScanNode,
     SortNode,
     conjoin,
+    item_names,
     scans_in,
 )
 
@@ -1888,7 +1889,7 @@ class Aggregate(PhysicalOperator):
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
-        self._names = aggregate_names(self.node.items)
+        self._names = item_names(self.node.items)
         self.stats.detail = ", ".join(self._names)
 
     def _produce(self, ctx: ExecContext) -> Iterator[Any]:
@@ -1926,7 +1927,7 @@ class Aggregate(PhysicalOperator):
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
 
     def output_names(self) -> list[str] | None:
-        return aggregate_names(self.node.items)
+        return item_names(self.node.items)
 
 
 class FinalAggregate(PhysicalOperator):
@@ -1942,7 +1943,7 @@ class FinalAggregate(PhysicalOperator):
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
-        self._names = aggregate_names(self.node.items)
+        self._names = item_names(self.node.items)
         self.stats.detail = ", ".join(self._names)
 
     def _produce(self, ctx: ExecContext) -> Iterator[Any]:
@@ -1996,7 +1997,7 @@ class FinalAggregate(PhysicalOperator):
         self.stats.seconds += ctx.charge_coordinator(self.stats.rows_in)
 
     def output_names(self) -> list[str] | None:
-        return aggregate_names(self.node.items)
+        return item_names(self.node.items)
 
 
 class Sort(PhysicalOperator):
@@ -2087,39 +2088,7 @@ def expand_items(
 def output_names(
     items: list[SelectItem], plan: PhysicalPlan, catalog: FederationCatalog
 ) -> list[str]:
-    names: list[str] = []
-    used: set[str] = set()
-    for i, item in enumerate(expand_items(items, plan, catalog)):
-        if item.alias:
-            name = item.alias
-        elif isinstance(item.expr, Column):
-            name = item.expr.name
-        elif isinstance(item.expr, FuncCall):
-            name = item.expr.name
-        else:
-            name = f"col{i}"
-        base = name
-        suffix = 1
-        while name in used:
-            suffix += 1
-            name = f"{base}_{suffix}"
-        used.add(name)
-        names.append(name)
-    return names
-
-
-def aggregate_names(items: list[SelectItem]) -> list[str]:
-    names = []
-    for i, item in enumerate(items):
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, Column):
-            names.append(item.expr.name)
-        elif isinstance(item.expr, FuncCall):
-            names.append(item.expr.name)
-        else:
-            names.append(f"col{i}")
-    return names
+    return item_names(expand_items(items, plan, catalog))
 
 
 def eval_aggregate_expr(expr: Expr, group_envs: list[Env]) -> Any:

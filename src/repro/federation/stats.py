@@ -311,7 +311,7 @@ def _range_fraction(op: str, value: Any, stats: ColumnStats) -> float | None:
     ):
         return None
     if hi <= lo:  # single-valued column: the predicate either takes it or not
-        return 1.0 if Predicate("probe", op, value).matches({"probe": lo}) else 0.0
+        return 1.0 if Predicate("probe", op, value).holds(lo) else 0.0
     if op in ("<", "<="):
         fraction = (value - lo) / (hi - lo)
     else:  # >, >=

@@ -34,6 +34,7 @@ from repro.sql.ast import (
     BinaryOp,
     Column,
     Expr,
+    FuncCall,
     Literal,
     OrderItem,
     SelectItem,
@@ -290,22 +291,40 @@ def _resolve_order_aliases(statement: SelectStatement) -> list[OrderItem]:
     return resolved
 
 
+def item_names(items: list[SelectItem]) -> list[str]:
+    """Output column names for select items: alias, column or function
+    name, else ``col<i>``; a repeated name takes a ``_2``, ``_3`` ... suffix."""
+    names: list[str] = []
+    used: set[str] = set()
+    for i, item in enumerate(items):
+        if item.alias:
+            name = item.alias
+        elif isinstance(item.expr, (Column, FuncCall)):
+            name = item.expr.name
+        else:
+            name = f"col{i}"
+        base = name
+        suffix = 1
+        while name in used:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        used.add(name)
+        names.append(name)
+    return names
+
+
 def _rewrite_aggregate_order(statement: SelectStatement) -> list[OrderItem]:
     """Map ORDER BY keys onto the aggregate's output column names."""
+    names = item_names(statement.items)
     rewritten = []
     for order in statement.order_by:
         expr = order.expr
         for i, item in enumerate(statement.items):
             if item.alias is not None and isinstance(expr, Column) and expr.name == item.alias:
-                expr = Column(item.alias)
+                expr = Column(names[i])
                 break
             if repr(item.expr) == repr(order.expr):
-                name = item.alias
-                if name is None and isinstance(item.expr, Column):
-                    name = item.expr.name
-                if name is None and hasattr(item.expr, "name"):
-                    name = item.expr.name  # FuncCall output name
-                expr = Column(name or f"col{i}")
+                expr = Column(names[i])
                 break
         rewritten.append(OrderItem(expr, order.descending))
     return rewritten

@@ -1,5 +1,7 @@
 """Unit tests for schemas, fields, data types and Money."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -75,6 +77,21 @@ class TestSchema:
             make_schema().field_named("nope")
         with pytest.raises(SchemaError):
             make_schema().index_of("nope")
+
+    def test_lookups_are_computed_once(self):
+        schema = make_schema()
+        assert schema.field_names is schema.field_names
+        assert [schema.index_of(n) for n in schema.field_names] == [0, 1, 2, 3]
+
+    def test_lookup_caches_stay_out_of_identity(self):
+        schema = make_schema()
+        assert [f.name for f in dataclasses.fields(Schema)] == ["name", "fields"]
+        assert schema == make_schema()
+        assert hash(schema) == hash(make_schema())
+        assert repr(schema) == f"Schema(name='parts', fields={schema.fields!r})"
+        replaced = dataclasses.replace(schema, fields=schema.fields[:2])
+        assert replaced.field_names == ("part_id", "part_name")
+        assert not replaced.has_field("qty")
 
     def test_project_reorders(self):
         projected = make_schema().project(["qty", "part_id"])
