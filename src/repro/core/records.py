@@ -130,13 +130,24 @@ class Table:
 
     def union_all(self, other: "Table") -> "Table":
         """Concatenate two union-compatible tables."""
-        if not self.schema.union_compatible(other.schema):
-            raise SchemaError(
-                f"tables {self.schema.name!r} and {other.schema.name!r} "
-                "are not union-compatible"
-            )
-        combined = Table(self.schema, validate=False)
-        combined.rows = self.rows + other.rows
+        return Table.concat([self, other])
+
+    @staticmethod
+    def concat(tables: Sequence["Table"]) -> "Table":
+        """Concatenate union-compatible tables in one pass.
+
+        The result carries the first table's schema; each later table must
+        be union-compatible with it.
+        """
+        first = tables[0]
+        for other in tables[1:]:
+            if not first.schema.union_compatible(other.schema):
+                raise SchemaError(
+                    f"tables {first.schema.name!r} and {other.schema.name!r} "
+                    "are not union-compatible"
+                )
+        combined = Table(first.schema, validate=False)
+        combined.rows = [row for table in tables for row in table.rows]
         return combined
 
     def sorted_by(self, name: str, descending: bool = False) -> "Table":

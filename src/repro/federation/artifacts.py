@@ -128,23 +128,25 @@ def stage_specs(plan: PlanNode) -> "dict[str, StageSpec]":
     stage); any other scan ships its filtered/projected rows.
     """
     specs: dict[str, StageSpec] = {}
-
-    def walk(node: PlanNode) -> None:
-        if (
-            isinstance(node, AggregateNode)
-            and node.split is not None
-            and isinstance(node.child, ScanNode)
-        ):
-            specs[node.child.binding] = StageSpec(node.child, node)
-            return
-        if isinstance(node, ScanNode):
-            specs[node.binding] = StageSpec(node)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
+    _collect_stage_specs(plan, specs)
     return specs
+
+
+def _collect_stage_specs(node: PlanNode, specs: "dict[str, StageSpec]") -> None:
+    # Module-level recursion, not a closure: a nested function that calls
+    # itself is a reference cycle left behind for the cyclic GC.
+    if (
+        isinstance(node, AggregateNode)
+        and node.split is not None
+        and isinstance(node.child, ScanNode)
+    ):
+        specs[node.child.binding] = StageSpec(node.child, node)
+        return
+    if isinstance(node, ScanNode):
+        specs[node.binding] = StageSpec(node)
+        return
+    for child in node.children():
+        _collect_stage_specs(child, specs)
 
 
 def stage_fields(schema, scan: ScanNode) -> tuple[str, ...]:
@@ -351,14 +353,14 @@ class Artifact:
 
         if self.payload.kind != "groups":
             return None
+        keys = [(canonical_expr(call, binding), repr(call)) for call in calls]
         records = []
         for group in self.payload.groups:
             states = {}
-            for call in calls:
-                canonical = canonical_expr(call, binding)
+            for canonical, key in keys:
                 if canonical not in group.states:
                     return None
-                states[repr(call)] = group.states[canonical]
+                states[key] = group.states[canonical]
             representative: Env = {}
             for name, value in group.representative.items():
                 representative[f"{binding}.{name}"] = value

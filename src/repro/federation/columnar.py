@@ -2,10 +2,13 @@
 
 ROADMAP item 1 (and the langbridge worker data plane it cites): the hot
 path of the executor should move *columns*, not per-row ``dict`` envs.  A
-:class:`ColumnBatch` is one fixed-size slice of one scan's output held as
+:class:`ColumnBatch` is one fixed-size slice of one scan's output read as
 parallel per-column value arrays (nulls are in-band ``None``; kernels that
-need an explicit view call :meth:`ColumnBatch.null_mask`).  Site-side
-operators pass batches by reference and work on whole columns:
+need an explicit view call :meth:`ColumnBatch.null_mask`).  Scan batches
+are row-backed and late-materialized: a column is transposed (and masked,
+under governance) the first time an operator reads it, for the rows still
+alive at that point.  Site-side operators pass batches by reference and
+work on whole columns:
 
 * **Filter kernels** (:func:`compile_predicate`) compile a residual
   predicate into a selection-vector function ``kernel(batch, sel) ->
@@ -40,11 +43,13 @@ cache and workload manager always consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 from repro.connect.source import COMPARISON_OPS, comparison_kernel
 from repro.core.records import Table
 from repro.core.values import Money
+from repro.federation.governance import mask_value
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -80,15 +85,88 @@ class KernelFallback(Exception):
     path, which reproduces ``evaluate``'s exact behavior and errors."""
 
 
+class LazyColumns:
+    """A batch's columns, transposed from its row tuples on first read.
+
+    ``positions[j]`` is column ``j``'s index in each row tuple and
+    ``styles[j]`` its governance mask style (``None``: unmasked).
+    ``filled[j]`` caches the column once read; until then the values live
+    only in ``rows``.  Reading ``columns[j]`` fills and masks that one
+    column, so a column no operator reads is never transposed or masked,
+    and a column read after a filter is transposed for the surviving rows
+    only.  Batches built from value lists (the wire decoder) start fully
+    filled with ``rows`` None.
+    """
+
+    __slots__ = ("rows", "positions", "styles", "filled")
+
+    def __init__(
+        self,
+        rows: "list[tuple] | None",
+        positions: list[int],
+        styles: "list[str | None]",
+        filled: "list[list | None]",
+    ) -> None:
+        self.rows = rows
+        self.positions = positions
+        self.styles = styles
+        self.filled = filled
+
+    def __getitem__(self, j: int) -> list:
+        column = self.filled[j]
+        if column is None:
+            column = list(map(itemgetter(self.positions[j]), self.rows))
+            style = self.styles[j]
+            if style is not None:
+                column = [mask_value(style, value) for value in column]
+            self.filled[j] = column
+        return column
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self.__getitem__, range(len(self.filled)))
+
+    def value(self, j: int, i: int) -> Any:
+        """Row ``i`` of column ``j`` without filling the whole column."""
+        column = self.filled[j]
+        if column is not None:
+            return column[i]
+        value = self.rows[i][self.positions[j]]
+        style = self.styles[j]
+        return value if style is None else mask_value(style, value)
+
+    def take(self, selection: list[int]) -> "LazyColumns":
+        rows = self.rows
+        return LazyColumns(
+            None if rows is None else [rows[i] for i in selection],
+            self.positions,
+            self.styles,
+            [
+                None if column is None else [column[i] for i in selection]
+                for column in self.filled
+            ],
+        )
+
+    def select(self, keep: list[int]) -> "LazyColumns":
+        return LazyColumns(
+            self.rows,
+            [self.positions[j] for j in keep],
+            [self.styles[j] for j in keep],
+            [self.filled[j] for j in keep],
+        )
+
+
 class ColumnBatch:
-    """One fixed-size slice of a scan's rows, stored column-wise.
+    """One fixed-size slice of a scan's rows, read column-wise.
 
     ``names`` are the qualified env keys (``binding.field``); ``aliases``
     maps bare field names to column indexes for fields that are
     unambiguous across the query's scans (mirroring
     :func:`repro.federation.physical.row_env`).  ``count`` is tracked
     explicitly so a batch projected down to zero columns still knows how
-    many rows it carries.
+    many rows it carries.  ``columns`` is a :class:`LazyColumns`: scan
+    batches are row-backed and fill a column the first time an operator
+    reads ``columns[j]``; a list of value lists is accepted too and is
+    simply already filled (``count`` may default only then).
     """
 
     __slots__ = ("names", "columns", "aliases", "count", "_index")
@@ -96,14 +174,21 @@ class ColumnBatch:
     def __init__(
         self,
         names: list[str],
-        columns: list[list],
+        columns: "LazyColumns | list[list]",
         aliases: dict[str, int],
         count: int | None = None,
     ) -> None:
+        if not isinstance(columns, LazyColumns):
+            if count is None:
+                count = len(columns[0]) if columns else 0
+            width = len(columns)
+            columns = LazyColumns(
+                None, list(range(width)), [None] * width, list(columns)
+            )
         self.names = names
         self.columns = columns
         self.aliases = aliases
-        self.count = count if count is not None else (len(columns[0]) if columns else 0)
+        self.count = count
         self._index: dict[str, int] | None = None
 
     def __len__(self) -> int:
@@ -123,24 +208,26 @@ class ColumnBatch:
         return [value is None for value in self.columns[column_index]]
 
     def take(self, selection: list[int]) -> "ColumnBatch":
-        """Materialize the rows named by an ascending selection vector."""
+        """The rows named by an ascending selection vector.
+
+        Gathers row references plus the columns already filled; the rest
+        stay unfilled, so they are transposed for the kept rows only.
+        """
         return ColumnBatch(
-            self.names,
-            [[column[i] for i in selection] for column in self.columns],
-            self.aliases,
-            len(selection),
+            self.names, self.columns.take(selection), self.aliases, len(selection)
         )
 
     def project(self, allowed: set[str]) -> "ColumnBatch":
         """Column-slice projection: keep columns whose env key is allowed.
 
-        Kept columns are shared by reference -- projection copies nothing.
+        Rows and filled columns are shared by reference -- projection
+        copies no values.
         """
         keep = [j for j, name in enumerate(self.names) if name in allowed]
         remap = {old: new for new, old in enumerate(keep)}
         return ColumnBatch(
             [self.names[j] for j in keep],
-            [self.columns[j] for j in keep],
+            self.columns.select(keep),
             {
                 alias: remap[j]
                 for alias, j in self.aliases.items()
@@ -151,9 +238,11 @@ class ColumnBatch:
 
     def env_at(self, i: int) -> dict[str, Any]:
         """One row's env (qualified keys plus unambiguous bare keys)."""
-        env = {name: column[i] for name, column in zip(self.names, self.columns)}
+        value = self.columns.value
+        names = self.names
+        env = {name: value(j, i) for j, name in enumerate(names)}
         for alias, j in self.aliases.items():
-            env[alias] = self.columns[j][i]
+            env[alias] = env[names[j]]
         return env
 
     def to_envs(self) -> list[dict[str, Any]]:
@@ -161,7 +250,8 @@ class ColumnBatch:
         keys = list(self.names) + list(self.aliases)
         if not keys:
             return [{} for _ in range(self.count)]
-        cols = self.columns + [self.columns[j] for j in self.aliases.values()]
+        columns = self.columns
+        cols = list(columns) + [columns[j] for j in self.aliases.values()]
         return [dict(zip(keys, values)) for values in zip(*cols)]
 
 
@@ -170,8 +260,15 @@ def table_chunks(
     table: Table,
     ambiguous: set[str],
     batch_size: int = DEFAULT_BATCH_SIZE,
+    masks: "dict[str, str] | None" = None,
 ) -> list[ColumnBatch]:
-    """Split one site's scan output table into fixed-size column batches."""
+    """Split one site's scan output table into fixed-size row-backed batches.
+
+    Nothing is transposed here: each batch keeps its slice of the table's
+    row tuples and fills a column when an operator first reads it.
+    ``masks`` maps field names to governance mask styles, applied to a
+    column as it is filled.
+    """
     fields = table.schema.fields
     names = [f"{binding}.{field_def.name}" for field_def in fields]
     aliases = {
@@ -179,13 +276,13 @@ def table_chunks(
         for i, field_def in enumerate(fields)
         if field_def.name not in ambiguous
     }
+    positions = list(range(len(fields)))
+    styles = [(masks or {}).get(field_def.name) for field_def in fields]
     rows = table.rows
     chunks = []
     for start in range(0, len(rows), batch_size):
         slice_rows = rows[start : start + batch_size]
-        columns = [list(column) for column in zip(*slice_rows)]
-        if not columns:
-            columns = [[] for _ in names]
+        columns = LazyColumns(slice_rows, positions, styles, [None] * len(fields))
         chunks.append(ColumnBatch(names, columns, aliases, len(slice_rows)))
     return chunks
 

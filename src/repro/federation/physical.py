@@ -430,6 +430,12 @@ class PhysicalOperator:
             return
         self._closed = True
         self._finish(self._ctx)
+        # Drop per-execution state.  The context points back at the plan,
+        # whose ``root`` is this tree, and an unfinished generator points
+        # back at its operator: holding either keeps the execution's batches
+        # alive until a cyclic GC pass instead of freeing them by refcount.
+        self._ctx = None
+        self._rows = None
         for child in self.children:
             child.close()
 
@@ -499,6 +505,8 @@ class SiteOperator(PhysicalOperator):
         if getattr(self, "_closed", True):
             return
         self._closed = True
+        self._ctx = None  # see PhysicalOperator.close
+        self._batches = None
         for child in self.children:
             child.close()
 
@@ -560,9 +568,7 @@ class SiteScan(SiteOperator):
             # excluded (_capture_ok): their output is stale or partial.
             if self._capture_ok:
                 if table_batches:
-                    combined = table_batches[0][1]
-                    for _, extra, _ in table_batches[1:]:
-                        combined = combined.union_all(extra)
+                    combined = Table.concat([t for _, t, _ in table_batches])
                 else:
                     combined = Table(
                         ctx.catalog.entry(assignment.table_name).schema, []
@@ -574,23 +580,28 @@ class SiteScan(SiteOperator):
         # Governance enforcement happens *after* the capture: cached regions
         # keep raw rows under their predicate key (every consumer scan
         # re-applies its own residual RLS and masks right here, so rows a
-        # policy hides still never leave the site pipeline), and *before*
-        # the columnar transpose so masked values flow through the same
-        # kernels as any other column.
+        # policy hides still never leave the site pipeline).  Residual RLS
+        # runs on raw values; masks are applied as each column is filled
+        # (columnar) or to every row (row engine), so a user filter on a
+        # masked column sees masked values either way.
         table_batches = self._apply_governance(ctx, table_batches)
 
         ctx.report.rows_fetched += sum(len(t) for _, t, _ in table_batches)
         self.stats.detail = self._describe(assignment)
         binding = assignment.binding
         if ctx.columnar:
-            # Transpose each site's table into fixed-size column batches;
-            # per-row env dicts are only rebuilt at the Ship boundary.
+            # Row-backed batches: a column is transposed (and masked) only
+            # when an operator reads it; per-row env dicts are only rebuilt
+            # at the Ship boundary.
+            masks = self.scan.governance.masks if self.scan.governance else None
             return [
                 SiteBatch(
                     site,
                     [],
                     elapsed,
-                    chunks=columnar.table_chunks(binding, table, ctx.ambiguous),
+                    chunks=columnar.table_chunks(
+                        binding, table, ctx.ambiguous, masks=masks
+                    ),
                 )
                 for site, table, elapsed in table_batches
             ]
@@ -897,9 +908,11 @@ class SiteScan(SiteOperator):
         pushdown / view / cache residual application); what remains here is
         the policy work the optimizers priced as ordinary row volume:
         row-wise evaluation of non-pushable RLS conjuncts on *raw* values,
-        then masking at the scan's output.  New tables are built instead of
-        mutating inputs -- the semantic-cache capture may hold the same
-        Table object.
+        then masking at the scan's output.  The mask charge is the same on
+        both engines, but only the row engine rewrites rows here; columnar
+        batches mask each column as it is filled (:func:`columnar.
+        table_chunks`).  New tables are built instead of mutating inputs --
+        the semantic-cache capture may hold the same Table object.
         """
         governance = self.scan.governance
         if governance is None:
@@ -934,7 +947,8 @@ class SiteScan(SiteOperator):
                 work = ctx.charge_site(site, len(table.rows))
                 self.stats.seconds += work
                 elapsed += work
-                table = apply_column_masks(table, governance.masks)
+                if not ctx.columnar:
+                    table = apply_column_masks(table, governance.masks)
             out.append((site, table, elapsed))
         return out
 
@@ -1201,8 +1215,9 @@ def merge_state(call: FuncCall, a: Any, b: Any) -> Any:
     raise QueryError(f"unknown aggregate {call.name!r}")
 
 
-def final_value(call: FuncCall, group: PartialGroup) -> Any:
-    state = group.states[repr(call)]
+def final_value(call: FuncCall, group: PartialGroup, key: str) -> Any:
+    """One call's final value from a merged group (``key`` is its state key)."""
+    state = group.states[key]
     if call.star:
         return group.count
     if call.name == "avg":
@@ -1221,6 +1236,7 @@ class PartialAggregate(SiteOperator):
         self.node = node
         assert node.split is not None
         self.calls = node.split.calls
+        self.state_keys = [repr(call) for call in self.calls]
 
     def _compute(self, ctx: ExecContext) -> list[SiteBatch]:
         out = []
@@ -1254,8 +1270,8 @@ class PartialAggregate(SiteOperator):
         records = []
         for key, group_envs in groups.items():
             states = {
-                repr(call): partial_state(call, group_envs)
-                for call in self.calls
+                key: partial_state(call, group_envs)
+                for key, call in zip(self.state_keys, self.calls)
             }
             records.append(
                 PartialGroup(
@@ -1317,12 +1333,13 @@ class PartialAggregate(SiteOperator):
         for chunk in chunks:
             cols = chunk.columns
             if key_indexes:
-                key_cols = [cols[i] for i in key_indexes]
                 local: dict[tuple, list[int]] = {}
-                for i in range(chunk.count):
-                    local.setdefault(
-                        tuple(col[i] for col in key_cols), []
-                    ).append(i)
+                for i, key in enumerate(zip(*[cols[j] for j in key_indexes])):
+                    bucket = local.get(key)
+                    if bucket is None:
+                        local[key] = [i]
+                    else:
+                        bucket.append(i)
             else:
                 local = {(): list(range(chunk.count))}
             for key, indexes in local.items():
@@ -1372,16 +1389,16 @@ class PartialAggregate(SiteOperator):
         records = []
         for key, (count, representative, states) in groups.items():
             final_states: dict[str, Any] = {}
-            for call, (name, _), state in zip(self.calls, specs, states):
+            for state_key, (name, _), state in zip(self.state_keys, specs, states):
                 if name == "count*":
-                    final_states[repr(call)] = count
+                    final_states[state_key] = count
                 elif name == "avg":
                     total, seen = state
-                    final_states[repr(call)] = (
+                    final_states[state_key] = (
                         (None, 0) if seen == 0 else (total, seen)
                     )
                 else:
-                    final_states[repr(call)] = state
+                    final_states[state_key] = state
             records.append(PartialGroup(key, count, final_states, representative))
         return records
 
@@ -1940,6 +1957,11 @@ class FinalAggregate(PhysicalOperator):
         self.node = node
         assert node.split is not None
         self.calls = node.split.calls
+        self.state_keys = [repr(call) for call in self.calls]
+        # id(call) -> repr(call) for the calls in items/having, filled on
+        # first use: a dataclass repr per group per call is costly, and the
+        # node (held by this operator) keeps every keyed call alive.
+        self._keys_by_id: dict[int, str] = {}
 
     def open(self, ctx: ExecContext) -> None:
         super().open(ctx)
@@ -1958,15 +1980,20 @@ class FinalAggregate(PhysicalOperator):
                 )
                 continue
             seen.count += record.count
-            for call in self.calls:
-                key = repr(call)
+            for call, key in zip(self.calls, self.state_keys):
                 seen.states[key] = merge_state(call, seen.states[key], record.states[key])
             if not seen.representative and record.representative:
                 seen.representative = record.representative
 
         if not self.node.group_by and not merged:
             merged[()] = PartialGroup(
-                (), 0, {repr(call): partial_state(call, []) for call in self.calls}, {}
+                (),
+                0,
+                {
+                    key: partial_state(call, [])
+                    for call, key in zip(self.calls, self.state_keys)
+                },
+                {},
             )
 
         results: list[Env] = []
@@ -1985,7 +2012,10 @@ class FinalAggregate(PhysicalOperator):
 
     def _eval_merged(self, expr: Expr, group: PartialGroup) -> Any:
         if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return final_value(expr, group)
+            key = self._keys_by_id.get(id(expr))
+            if key is None:
+                key = self._keys_by_id[id(expr)] = repr(expr)
+            return final_value(expr, group, key)
         if isinstance(expr, BinaryOp):
             left = self._eval_merged(expr.left, group)
             right = self._eval_merged(expr.right, group)

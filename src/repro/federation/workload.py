@@ -486,6 +486,9 @@ class WorkloadManager:
         handle._busy_sites = ()
 
     def _complete(self, handle: QueryHandle, result: QueryResult) -> None:
+        # The fired event's callback closes over the handle: drop it so the
+        # pair is freed by refcount rather than left for the cyclic GC.
+        handle._completion_event = None
         self._release_sites(handle)
         self._finish(handle, result=result)
 

@@ -132,33 +132,36 @@ def contains_aggregate(expr: Expr) -> bool:
 def columns_in(expr: Expr) -> list[Column]:
     """All column references in ``expr``, in appearance order."""
     found: list[Column] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Column):
-            found.append(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, InSubquery):
-            walk(node.operand)  # inner select columns are inner-scope
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, Like):
-            walk(node.operand)
-
-    walk(expr)
+    _collect_columns(expr, found)
     return found
+
+
+def _collect_columns(node: Expr, found: list[Column]) -> None:
+    # A module-level recursion, not a closure: a nested function that
+    # calls itself is a reference cycle left behind for the cyclic GC.
+    if isinstance(node, Column):
+        found.append(node)
+    elif isinstance(node, BinaryOp):
+        _collect_columns(node.left, found)
+        _collect_columns(node.right, found)
+    elif isinstance(node, UnaryOp):
+        _collect_columns(node.operand, found)
+    elif isinstance(node, FuncCall):
+        for arg in node.args:
+            _collect_columns(arg, found)
+    elif isinstance(node, InList):
+        _collect_columns(node.operand, found)
+        for item in node.items:
+            _collect_columns(item, found)
+    elif isinstance(node, InSubquery):
+        # Inner select columns are inner-scope.
+        _collect_columns(node.operand, found)
+    elif isinstance(node, Between):
+        _collect_columns(node.operand, found)
+        _collect_columns(node.low, found)
+        _collect_columns(node.high, found)
+    elif isinstance(node, Like):
+        _collect_columns(node.operand, found)
 
 
 # -- statement structure -----------------------------------------------------

@@ -66,33 +66,35 @@ def statement_has_subqueries(statement: SelectStatement) -> bool:
     optimized once and reused -- each execution re-plans from a bound copy
     of the statement.
     """
+    if _has_subquery(statement.where) or _has_subquery(statement.having):
+        return True
+    if any(_has_subquery(item.expr) for item in statement.items):
+        return True
+    if any(_has_subquery(join.condition) for join in statement.joins):
+        return True
+    if any(_has_subquery(group) for group in statement.group_by):
+        return True
+    return any(_has_subquery(order.expr) for order in statement.order_by)
 
-    def expr_has(expr: Expr | None) -> bool:
-        if expr is None:
-            return False
-        if isinstance(expr, InSubquery):
-            return True
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(expr, attr, None)
-            if child is not None and not isinstance(child, str) and expr_has(child):
-                return True
-        for item in getattr(expr, "args", ()) or ():
-            if expr_has(item):
-                return True
-        for item in getattr(expr, "items", ()) or ():
-            if expr_has(item):
-                return True
+
+def _has_subquery(expr: Expr | None) -> bool:
+    # Module-level recursion, not a closure: a nested function that calls
+    # itself is a reference cycle left behind for the cyclic GC.
+    if expr is None:
         return False
-
-    if expr_has(statement.where) or expr_has(statement.having):
+    if isinstance(expr, InSubquery):
         return True
-    if any(expr_has(item.expr) for item in statement.items):
-        return True
-    if any(expr_has(join.condition) for join in statement.joins):
-        return True
-    if any(expr_has(group) for group in statement.group_by):
-        return True
-    return any(expr_has(order.expr) for order in statement.order_by)
+    for attr in ("left", "right", "operand", "low", "high"):
+        child = getattr(expr, attr, None)
+        if child is not None and not isinstance(child, str) and _has_subquery(child):
+            return True
+    for item in getattr(expr, "args", ()) or ():
+        if _has_subquery(item):
+            return True
+    for item in getattr(expr, "items", ()) or ():
+        if _has_subquery(item):
+            return True
+    return False
 
 
 def _collect_statement(statement: SelectStatement, indices: set[int]) -> None:
@@ -116,29 +118,29 @@ def _collect_statement(statement: SelectStatement, indices: set[int]) -> None:
 
 def _parameters_in(expr: Expr | None) -> list[Parameter]:
     found: list[Parameter] = []
-
-    def walk(node: Expr | None) -> None:
-        if node is None:
-            return
-        if isinstance(node, Parameter):
-            found.append(node)
-            return
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, str):
-                walk(child)
-        for item in getattr(node, "args", ()) or ():
-            walk(item)
-        for item in getattr(node, "items", ()) or ():
-            walk(item)
-        subquery = getattr(node, "subquery", None)
-        if subquery is not None:
-            sub_indices: set[int] = set()
-            _collect_statement(subquery, sub_indices)
-            found.extend(Parameter(i) for i in sub_indices)
-
-    walk(expr)
+    _collect_parameters(expr, found)
     return found
+
+
+def _collect_parameters(node: Expr | None, found: list[Parameter]) -> None:
+    if node is None:
+        return
+    if isinstance(node, Parameter):
+        found.append(node)
+        return
+    for attr in ("left", "right", "operand", "low", "high"):
+        child = getattr(node, attr, None)
+        if child is not None and not isinstance(child, str):
+            _collect_parameters(child, found)
+    for item in getattr(node, "args", ()) or ():
+        _collect_parameters(item, found)
+    for item in getattr(node, "items", ()) or ():
+        _collect_parameters(item, found)
+    subquery = getattr(node, "subquery", None)
+    if subquery is not None:
+        sub_indices: set[int] = set()
+        _collect_statement(subquery, sub_indices)
+        found.extend(Parameter(i) for i in sub_indices)
 
 
 def bind_expr(expr: Expr | None, values: Sequence[Any]) -> Expr | None:

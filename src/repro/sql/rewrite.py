@@ -333,29 +333,30 @@ class AggregateSplitting(RewritePass):
 
     def _aggregate_calls(self, node: AggregateNode) -> list[FuncCall]:
         calls: dict[str, FuncCall] = {}
-
-        def collect(expr: Expr) -> None:
-            if isinstance(expr, FuncCall):
-                if expr.name in AGGREGATE_FUNCTIONS:
-                    calls.setdefault(repr(expr), expr)
-                    return
-                for arg in expr.args:
-                    collect(arg)
-                return
-            for attr in ("left", "right", "operand", "low", "high"):
-                child = getattr(expr, attr, None)
-                if child is not None:
-                    collect(child)
-            for item in getattr(expr, "items", ()) or ():
-                collect(item)
-
         for item in node.items:
-            collect(item.expr)
+            _collect_aggregate_calls(item.expr, calls)
         for group in node.group_by:
-            collect(group)
+            _collect_aggregate_calls(group, calls)
         if node.having is not None:
-            collect(node.having)
+            _collect_aggregate_calls(node.having, calls)
         return list(calls.values())
+
+
+def _collect_aggregate_calls(expr: Expr, calls: dict[str, FuncCall]) -> None:
+    """Add ``expr``'s aggregate calls to ``calls`` (keyed by repr)."""
+    if isinstance(expr, FuncCall):
+        if expr.name in AGGREGATE_FUNCTIONS:
+            calls.setdefault(repr(expr), expr)
+            return
+        for arg in expr.args:
+            _collect_aggregate_calls(arg, calls)
+        return
+    for attr in ("left", "right", "operand", "low", "high"):
+        child = getattr(expr, attr, None)
+        if child is not None:
+            _collect_aggregate_calls(child, calls)
+    for item in getattr(expr, "items", ()) or ():
+        _collect_aggregate_calls(item, calls)
 
 
 @dataclass(frozen=True)
